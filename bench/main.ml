@@ -72,6 +72,26 @@ let bench_subsumption =
   Bechamel.Test.make ~name:"subsumption_covers"
     (Bechamel.Staged.stage (fun () -> ignore (Sub.covers element query)))
 
+(* Exact-match lookup in a cache holding 300 elements (about the size an
+   advice_session episode reaches): the probe's key is computed, then looked
+   up in the cache model's key index. *)
+let bench_find_exact =
+  let module CMgr = Braid_cache.Cache_manager in
+  let cache = CMgr.create ~capacity_bytes:max_int () in
+  let def i = A.conj [ v "X"; v "Y" ] [ atom "b" [ v "X"; v "Y" ]; atom "c" [ v "Y"; T.int i ] ] in
+  let schema = R.Schema.make [ ("x", V.Tint); ("y", V.Tint) ] in
+  for i = 1 to 300 do
+    ignore
+      (CMgr.insert cache ~def:(def i)
+         (Braid_cache.Element.Extension (R.Relation.of_tuples ~name:"e" schema [])))
+  done;
+  let probe =
+    A.conj [ v "P"; v "Q" ] [ atom "b" [ v "P"; v "Q" ]; atom "c" [ v "Q"; T.int 300 ] ]
+  in
+  assert (CMgr.find_exact cache probe <> None);
+  Bechamel.Test.make ~name:"find_exact_300_elements"
+    (Bechamel.Staged.stage (fun () -> ignore (CMgr.find_exact cache probe)))
+
 let bench_hash_join =
   let schema = R.Schema.make [ ("x", V.Tint); ("y", V.Tint) ] in
   let rel n seed =
@@ -195,6 +215,7 @@ let micro_tests =
     bench_unify;
     bench_match;
     bench_subsumption;
+    bench_find_exact;
     bench_hash_join;
     bench_index_nl_join;
     bench_merge_join_sorted;

@@ -29,8 +29,11 @@ val insert :
 val find : t -> string -> Element.t option
 
 val find_exact : t -> Braid_caql.Ast.conj -> Element.t option
-(** An element whose definition is a variant of the query (exact-match
-    reuse). *)
+(** The oldest element whose definition is a variant of the query
+    (exact-match reuse): a hash probe on the query's {!Braid_caql.Ast.key}. *)
+
+val find_key : t -> Braid_caql.Ast.key -> Element.t option
+(** {!find_exact} for a key the caller already holds. *)
 
 val relevant_covers :
   t -> Braid_caql.Ast.conj -> (Element.t * Braid_subsume.Subsumption.cover) list

@@ -6,6 +6,7 @@ type t = {
   elements : (string, Element.t) Hashtbl.t;
   mutable order : string list; (* insertion order, newest first *)
   by_pred : (string, string list ref) Hashtbl.t;
+  by_key : string list A.Key_table.t; (* variant-equal element ids, oldest first *)
   mutable clock : int;
   mutable counter : int;
 }
@@ -16,6 +17,7 @@ let create ~capacity_bytes =
     elements = Hashtbl.create 64;
     order = [];
     by_pred = Hashtbl.create 64;
+    by_key = A.Key_table.create 64;
     clock = 0;
     counter = 0;
   }
@@ -44,7 +46,9 @@ let add t (e : Element.t) =
       match Hashtbl.find_opt t.by_pred p with
       | Some cell -> cell := e.Element.id :: !cell
       | None -> Hashtbl.replace t.by_pred p (ref [ e.Element.id ]))
-    (def_preds e.Element.def)
+    (def_preds e.Element.def);
+  let ids = Option.value (A.Key_table.find_opt t.by_key e.Element.key) ~default:[] in
+  A.Key_table.replace t.by_key e.Element.key (ids @ [ e.Element.id ])
 
 let remove t id =
   match Hashtbl.find_opt t.elements id with
@@ -57,7 +61,13 @@ let remove t id =
         match Hashtbl.find_opt t.by_pred p with
         | Some cell -> cell := List.filter (fun x -> not (String.equal x id)) !cell
         | None -> ())
-      (def_preds e.Element.def)
+      (def_preds e.Element.def);
+    (match A.Key_table.find_opt t.by_key e.Element.key with
+     | Some ids ->
+       (match List.filter (fun x -> not (String.equal x id)) ids with
+        | [] -> A.Key_table.remove t.by_key e.Element.key
+        | ids -> A.Key_table.replace t.by_key e.Element.key ids)
+     | None -> ())
 
 let find t id = Hashtbl.find_opt t.elements id
 
@@ -67,6 +77,13 @@ let candidates_for_pred t p =
   match Hashtbl.find_opt t.by_pred p with
   | Some cell -> List.rev !cell |> List.filter_map (find t)
   | None -> []
+
+let find_key t key =
+  match A.Key_table.find_opt t.by_key key with
+  | Some (id :: _) -> find t id
+  | Some [] | None -> None
+
+let key_count t = A.Key_table.length t.by_key
 
 let touch t (e : Element.t) =
   e.Element.hits <- e.Element.hits + 1;

@@ -3,7 +3,8 @@
     may query it through the CMS.
 
     Keeps the paper's [(predicate name, cache element)] index used to
-    expedite subsumption candidate lookup. *)
+    expedite subsumption candidate lookup, and a [(query identity, cache
+    element)] index that makes exact-match lookup a hash probe. *)
 
 type t
 
@@ -28,6 +29,14 @@ val elements : t -> Element.t list
 val candidates_for_pred : t -> string -> Element.t list
 (** Elements whose definition mentions the given predicate — step 1 of the
     §5.3.2 algorithm. *)
+
+val find_key : t -> Braid_caql.Ast.key -> Element.t option
+(** The oldest live element (in insertion order) whose definition has the
+    given structural identity — exact-match lookup through the model's
+    [key → element ids] index, which {!add} and {!remove} maintain. *)
+
+val key_count : t -> int
+(** Distinct keys in that index; [0] once every element is removed. *)
 
 val touch : t -> Element.t -> unit
 (** Records a use (hit count + LRU clock). *)

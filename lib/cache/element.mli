@@ -15,6 +15,7 @@ type representation =
 type t = {
   id : string;
   def : Braid_caql.Ast.conj;  (** [def.head] describes the stored columns *)
+  key : Braid_caql.Ast.key;  (** [def]'s structural identity, computed once by {!make} *)
   mutable repr : representation;
   mutable indexes : (int list * Braid_relalg.Index.t) list;
   mutable sorted : (int list * Braid_relalg.Relation.t) list;

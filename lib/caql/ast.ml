@@ -100,19 +100,124 @@ let rename_vars f c =
     cmps = List.map rename_cmp c.cmps;
   }
 
-let canonical c =
-  let mapping = Hashtbl.create 8 in
-  let counter = ref 0 in
-  let f x =
-    match Hashtbl.find_opt mapping x with
-    | Some y -> y
-    | None ->
-      let y = Printf.sprintf "v%d" !counter in
-      incr counter;
-      Hashtbl.add mapping x y;
-      y
+(* --- structural query identity ---
+
+   A conjunct's identity is its canonical renaming — variables numbered in
+   order of first occurrence (head, then atoms, then comparisons) — compared
+   structurally, with a hash folded over the same walk. Nothing is printed:
+   constants compare and hash through [Value.equal] / [Value.hash], so
+   [p(X, 2.5)] and [p(X, 2.5000004)] are different queries, while [2] and
+   [2.0] (equal values) are the same one. *)
+
+let canonical_names = Array.init 32 (Printf.sprintf "v%d")
+
+let canonical_name n =
+  if n < Array.length canonical_names then canonical_names.(n) else Printf.sprintf "v%d" n
+
+let mix h x = (h lxor x) * 0x100000001b3
+
+let cmp_tag : RP.cmp -> int = function
+  | RP.Eq -> 0
+  | RP.Ne -> 1
+  | RP.Lt -> 2
+  | RP.Le -> 3
+  | RP.Gt -> 4
+  | RP.Ge -> 5
+
+let rec var_number x = function
+  | [] -> None
+  | (y, n) :: rest -> if String.equal x y then Some n else var_number x rest
+
+(* One walk renames and hashes; the hash is never used on its own, only to
+   bucket keys that [key_equal] then compares structurally. *)
+let canonicalize c =
+  let seen = ref [] and next = ref 0 in
+  let h = ref (mix (List.length c.head) (List.length c.atoms)) in
+  let fold x = h := mix !h x in
+  let term = function
+    | L.Term.Var x ->
+      let n =
+        match var_number x !seen with
+        | Some n -> n
+        | None ->
+          let n = !next in
+          incr next;
+          seen := (x, n) :: !seen;
+          n
+      in
+      fold 1;
+      fold n;
+      L.Term.Var (canonical_name n)
+    | L.Term.Const v as t ->
+      fold 2;
+      fold (Braid_relalg.Value.hash v);
+      t
   in
-  rename_vars f c
+  let rec expr = function
+    | L.Literal.Term t -> L.Literal.Term (term t)
+    | L.Literal.Add (a, b) -> bin 3 (fun a b -> L.Literal.Add (a, b)) a b
+    | L.Literal.Sub (a, b) -> bin 4 (fun a b -> L.Literal.Sub (a, b)) a b
+    | L.Literal.Mul (a, b) -> bin 5 (fun a b -> L.Literal.Mul (a, b)) a b
+    | L.Literal.Div (a, b) -> bin 6 (fun a b -> L.Literal.Div (a, b)) a b
+  and bin tag mk a b =
+    fold tag;
+    let a = expr a in
+    let b = expr b in
+    mk a b
+  in
+  let atom (a : L.Atom.t) =
+    fold (Hashtbl.hash (a.L.Atom.pred : string));
+    fold (List.length a.L.Atom.args);
+    L.Atom.make a.L.Atom.pred (List.map term a.L.Atom.args)
+  in
+  let cmp (op, a, b) =
+    fold (cmp_tag op);
+    let a = expr a in
+    let b = expr b in
+    (op, a, b)
+  in
+  let head = List.map term c.head in
+  let atoms = List.map atom c.atoms in
+  let cmps = List.map cmp c.cmps in
+  ({ head; atoms; cmps }, !h)
+
+type key = { canon : conj; hash : int }
+
+let key c =
+  let canon, h = canonicalize c in
+  { canon; hash = (h lxor (h lsr 31)) land max_int }
+
+let key_hash k = k.hash
+
+let rec expr_equal a b =
+  match a, b with
+  | L.Literal.Term x, L.Literal.Term y -> L.Term.equal x y
+  | L.Literal.Add (a, b), L.Literal.Add (a', b')
+  | L.Literal.Sub (a, b), L.Literal.Sub (a', b')
+  | L.Literal.Mul (a, b), L.Literal.Mul (a', b')
+  | L.Literal.Div (a, b), L.Literal.Div (a', b') ->
+    expr_equal a a' && expr_equal b b'
+  | (L.Literal.Term _ | L.Literal.Add _ | L.Literal.Sub _ | L.Literal.Mul _ | L.Literal.Div _), _
+    ->
+    false
+
+let cmp_equal (op, a, b) (op', a', b') =
+  cmp_tag op = cmp_tag op' && expr_equal a a' && expr_equal b b'
+
+let key_equal a b =
+  a.hash = b.hash
+  && List.equal L.Term.equal a.canon.head b.canon.head
+  && List.equal L.Atom.equal a.canon.atoms b.canon.atoms
+  && List.equal cmp_equal a.canon.cmps b.canon.cmps
+
+module Key_table = Hashtbl.Make (struct
+  type t = key
+
+  let equal = key_equal
+  let hash = key_hash
+end)
+
+let variant_equal a b = key_equal (key a) (key b)
 
 let pp_sep s ppf () = Format.fprintf ppf "%s" s
 
@@ -127,9 +232,6 @@ let pp_conj ppf c =
     @ List.map (fun cmp ppf -> pp_cmp_lit ppf cmp) c.cmps)
 
 let conj_to_string c = Format.asprintf "%a" pp_conj c
-
-let variant_equal a b =
-  String.equal (conj_to_string (canonical a)) (conj_to_string (canonical b))
 
 let rec pp ppf = function
   | Conj c -> pp_conj ppf c

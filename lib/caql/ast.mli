@@ -64,14 +64,29 @@ val apply_subst : Braid_logic.Subst.t -> conj -> conj
 
 val rename_vars : (string -> string) -> conj -> conj
 
-val canonical : conj -> conj
-(** Variables renamed to [v0], [v1], ... in order of first occurrence —
-    used for variant (exact-match) comparison of queries. *)
+(** {2 Query identity}
+
+    A conjunct's structural identity: its canonical renaming (variables
+    renamed to [v0], [v1], ... in order of first occurrence — head, then
+    atoms, then comparisons), compared with [Term.equal] / [Value.equal]
+    (the constant test subsumption uses) and hashed by a walk that folds
+    predicate names, arities, canonical variable numbers and [Value.hash]
+    of constants. Computing a key prints nothing; the string forms below
+    are for display only. *)
+
+type key
+
+val key : conj -> key
+val key_equal : key -> key -> bool
+val key_hash : key -> int
+
+module Key_table : Hashtbl.S with type key = key
 
 val variant_equal : conj -> conj -> bool
-(** Equality up to variable renaming, with atom order significant. This is
-    the reuse test of exact-match caching systems (BERMUDA [IOAN88],
-    [SELL87]), which BrAID's subsumption strictly generalizes. *)
+(** Equality up to variable renaming, with atom order significant:
+    [key_equal] on the two keys. This is the reuse test of exact-match
+    caching systems (BERMUDA [IOAN88], [SELL87]), which BrAID's
+    subsumption strictly generalizes. *)
 
 val pp_conj : Format.formatter -> conj -> unit
 val pp : Format.formatter -> t -> unit

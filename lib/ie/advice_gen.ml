@@ -57,19 +57,16 @@ let segment ~max_conj_size children =
 
 type table = {
   mutable specs : Adv.view_spec list; (* newest first *)
+  by_key : Adv.view_spec list A.Key_table.t; (* specs per definition identity *)
   mutable counter : int;
 }
 
-let spec_key (def : A.conj) bindings =
-  A.conj_to_string (A.canonical def)
-  ^ "/"
-  ^ String.concat "" (List.map (function Adv.Producer -> "^" | Adv.Consumer -> "?") bindings)
-
+(* A spec is identified by its definition up to variable renaming plus its
+   binding pattern. *)
 let get_or_create table def bindings rule_id =
-  let key = spec_key def bindings in
-  match
-    List.find_opt (fun s -> String.equal (spec_key s.Adv.def s.Adv.bindings) key) table.specs
-  with
+  let key = A.key def in
+  let same_key = Option.value (A.Key_table.find_opt table.by_key key) ~default:[] in
+  match List.find_opt (fun s -> s.Adv.bindings = bindings) same_key with
   | Some s -> s
   | None ->
     table.counter <- table.counter + 1;
@@ -77,6 +74,7 @@ let get_or_create table def bindings rule_id =
       Adv.spec ~rule_ids:[ rule_id ] ~id:(Printf.sprintf "d%d" table.counter) ~bindings def
     in
     table.specs <- s :: table.specs;
+    A.Key_table.replace table.by_key key (s :: same_key);
     s
 
 (* --- the annotated traversal producing specs and path --- *)
@@ -253,7 +251,7 @@ and path_of_and table kb recursive_preds bound (b : PG.and_node) : Adv.path list
 
 let generate ?(max_conj_size = max_int) kb (g : PG.t) =
   segment_size := max_conj_size;
-  let table = { specs = []; counter = 0 } in
+  let table = { specs = []; by_key = A.Key_table.create 16; counter = 0 } in
   let recursive_preds = L.Kb.recursive_preds kb in
   (* Entry bindings: the AI query's constant positions are bound; its
      variables are free. Variables of the root goal are not bound. *)

@@ -246,10 +246,10 @@ let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
      immutable during a fixpoint, so each distinct body fetch is issued
      once and reused across rounds (rounds after the first would be exact
      cache hits anyway). *)
-  let fetch_memo : (string, R.Relation.t) Hashtbl.t = Hashtbl.create 16 in
+  let fetch_memo : R.Relation.t A.Key_table.t = A.Key_table.create 16 in
   let do_fetch name (c : A.conj) =
-    let key = A.conj_to_string (A.canonical c) in
-    match Hashtbl.find_opt fetch_memo key with
+    let key = A.key c in
+    match A.Key_table.find_opt fetch_memo key with
     | Some r -> R.Relation.with_name name r
     | None ->
       (match src with
@@ -258,7 +258,7 @@ let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
          incr fetches;
          let r = fetch c in
          fetched_tuples := !fetched_tuples + R.Relation.cardinality r;
-         Hashtbl.replace fetch_memo key r;
+         A.Key_table.replace fetch_memo key r;
          R.Relation.with_name name r)
   in
   let whole_base p =

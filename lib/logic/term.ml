@@ -17,6 +17,10 @@ let equal a b =
   | Const u, Const v -> V.equal u v
   | Var _, Const _ | Const _, Var _ -> false
 
+let hash = function
+  | Var x -> Hashtbl.hash (x : string)
+  | Const v -> V.hash v
+
 let compare a b =
   match a, b with
   | Var x, Var y -> String.compare x y

@@ -17,5 +17,9 @@ val is_var : t -> bool
 val is_const : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val hash : t -> int
+(** Compatible with {!equal}: constants hash through [Value.hash]. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

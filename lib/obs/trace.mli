@@ -4,8 +4,11 @@
     parent (the span that was open when it began — causality, not call
     syntax) and optional key/value arguments; an {e instant} is a
     zero-width event. Spans are recorded into an explicitly installed
-    tracer; with no tracer installed every hook is a single [None] check,
-    so benchmarked and soak runs pay nothing and stay deterministic.
+    tracer; with no tracer installed a hook itself is a single [None]
+    check. Its arguments are still evaluated by the caller, though (OCaml
+    is strict): a call site whose [args] cost something to build — a
+    printed query, say — guards them with {!enabled}, so untraced runs
+    build no strings. Untraced runs stay deterministic either way.
 
     {b No wall clock.} Timestamps are logical ticks of a per-tracer
     counter: every span begin, span end and instant advances it by one.

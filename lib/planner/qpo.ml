@@ -570,8 +570,8 @@ let solve_no_cache t (q : A.conj) =
 let element_cover_replacement e (q : A.conj) =
   Sub.full_cover { Sub.id = e.Elem.id; def = e.Elem.def } q
 
-let solve_exact t (q : A.conj) =
-  match CMgr.find_exact t.cache q with
+let solve_exact t ~key (q : A.conj) =
+  match CMgr.find_key t.cache key with
   | Some e ->
     (match element_cover_replacement e q with
      | Some cover ->
@@ -700,7 +700,7 @@ let local_values_of_covers chosen =
       end)
     [] chosen
 
-let solve_subsume t (q : A.conj) =
+let solve_subsume t ~key (q : A.conj) =
   let model = CMgr.model t.cache in
   let chosen =
     Obs.Trace.with_span ~cat:"qpo" "qpo.subsume" (fun () ->
@@ -719,7 +719,7 @@ let solve_subsume t (q : A.conj) =
     List.map
       (fun ((e : Elem.t), (c : Sub.cover)) ->
         Braid_cache.Cache_model.touch model e;
-        if uncovered_idx = [] && List.length chosen = 1 && A.variant_equal e.Elem.def q then
+        if uncovered_idx = [] && List.length chosen = 1 && A.key_equal e.Elem.key key then
           Plan.Exact_hit { element = e.Elem.id }
         else Plan.Use_element { element = e.Elem.id; covered_atoms = c.Sub.covered })
       chosen
@@ -767,19 +767,22 @@ let caching_mode_name = function
   | Single_relation -> "single-relation"
   | Subsumption -> "subsumption"
 
-let solve t (q : A.conj) =
+(* [key] is [A.key q], computed once by the caller. *)
+let solve t ~key (q : A.conj) =
   Obs.Trace.with_span ~cat:"qpo" "qpo.solve"
     ~args:
-      [
-        ("query", Obs.Trace.Str (A.conj_to_string q));
-        ("mode", Obs.Trace.Str (caching_mode_name t.config.caching));
-      ]
+      (if Obs.Trace.enabled () then
+         [
+           ("query", Obs.Trace.Str (A.conj_to_string q));
+           ("mode", Obs.Trace.Str (caching_mode_name t.config.caching));
+         ]
+       else [])
     (fun () ->
       match t.config.caching with
       | No_cache -> solve_no_cache t q
-      | Exact_match -> solve_exact t q
+      | Exact_match -> solve_exact t ~key q
       | Single_relation -> solve_single t q
-      | Subsumption -> solve_subsume t q)
+      | Subsumption -> solve_subsume t ~key q)
 
 (* --- advice-driven extras: generalization, prefetch, indexing, pinning --- *)
 
@@ -801,11 +804,11 @@ let index_for_spec t (spec : Braid_advice.Ast.view_spec) (e : Elem.t) =
 
 (* Materialize a definition as a cache element (used by generalization and
    prefetching). Returns the element if it was (or already is) cached. *)
-let materialize_def t (def : A.conj) =
-  match CMgr.find_exact t.cache def with
+let materialize_def t ~key (def : A.conj) =
+  match CMgr.find_key t.cache key with
   | Some e -> Some (e, [])
   | None ->
-    let solved = solve t def in
+    let solved = solve t ~key def in
     (* A degraded fetch must not be materialized: generalizations and
        prefetches cached now would keep serving stale or empty data after
        the remote recovers. *)
@@ -813,7 +816,7 @@ let materialize_def t (def : A.conj) =
     else
       (* Solving may itself have cached an element with this very definition
          (a shipped subquery equal to [def]); do not duplicate it. *)
-      (match CMgr.find_exact t.cache def with
+      (match CMgr.find_key t.cache key with
        | Some e -> Some (e, solved.s_steps)
        | None ->
          let stale_before = (CMgr.stats t.cache).CMgr.stale_touches in
@@ -825,7 +828,7 @@ let materialize_def t (def : A.conj) =
             | Some e -> Some (e, solved.s_steps)
             | None -> None))
 
-let generalization_steps t ses spec (q : A.conj) =
+let generalization_steps t ses spec ~key (q : A.conj) =
   if
     not
       (t.config.allow_generalization && t.config.caching = Subsumption
@@ -849,20 +852,23 @@ let generalization_steps t ses spec (q : A.conj) =
     in
     let usable (s : Braid_advice.Ast.view_spec) =
       let general = Adv.generalized s in
-      (not (A.variant_equal general q))
-      && Adv.expects_repetition ses.advisor s.Braid_advice.Ast.id
-      && Cost.est_conj (catalog t) general <= t.config.prefetch_max_tuples
-      && CMgr.find_exact t.cache general = None
-      && Sub.generalizes general q
+      let gkey = A.key general in
+      if
+        (not (A.key_equal gkey key))
+        && Adv.expects_repetition ses.advisor s.Braid_advice.Ast.id
+        && Cost.est_conj (catalog t) general <= t.config.prefetch_max_tuples
+        && CMgr.find_key t.cache gkey = None
+        && Sub.generalizes general q
+      then Some (s, general, gkey)
+      else None
     in
-    match List.find_opt usable candidates with
+    match List.find_map usable candidates with
     | None -> []
-    | Some s ->
-      let general = Adv.generalized s in
+    | Some (s, general, gkey) ->
       Log.debug (fun m ->
           m "generalizing %s to spec %s (%s)" (A.conj_to_string q) s.Braid_advice.Ast.id
             (A.conj_to_string general));
-      (match materialize_def t general with
+      (match materialize_def t ~key:gkey general with
        | Some (e, steps) ->
          Hashtbl.replace ses.elem_spec e.Elem.id s.Braid_advice.Ast.id;
          t.stats.generalizations <- t.stats.generalizations + 1;
@@ -881,16 +887,16 @@ let prefetch_steps t ses current_spec_id =
     List.concat_map
       (fun (spec : Braid_advice.Ast.view_spec) ->
         let id = spec.Braid_advice.Ast.id in
+        let def = spec.Braid_advice.Ast.def in
         if
           Some id <> current_spec_id
           && (not (Hashtbl.mem ses.prefetched id))
-          && Cost.est_conj (catalog t) spec.Braid_advice.Ast.def
-             <= t.config.prefetch_max_tuples
-          && CMgr.find_exact t.cache spec.Braid_advice.Ast.def = None
+          && Cost.est_conj (catalog t) def <= t.config.prefetch_max_tuples
+          && CMgr.find_exact t.cache def = None
         then begin
           Hashtbl.replace ses.prefetched id ();
           Log.debug (fun m -> m "prefetching predicted-next spec %s" id);
-          match materialize_def t spec.Braid_advice.Ast.def with
+          match materialize_def t ~key:(A.key def) def with
           | Some (e, steps) ->
             Hashtbl.replace ses.elem_spec e.Elem.id id;
             t.stats.prefetches <- t.stats.prefetches + 1;
@@ -979,6 +985,7 @@ let should_cache_eager_result t ses spec solved touched =
 
 let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
   t.stats.queries <- t.stats.queries + 1;
+  let key = A.key q in
   let spec =
     if not t.config.use_advice then None
     else
@@ -996,9 +1003,9 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
   let touched_before = (CMgr.stats t.cache).CMgr.tuples_touched in
   let stale_before = (CMgr.stats t.cache).CMgr.stale_touches in
   (* QPO step 1: possibly evaluate a generalization first. *)
-  let gen_steps = generalization_steps t ses spec q in
+  let gen_steps = generalization_steps t ses spec ~key q in
   (* Steps 2 and 3: rewrite over the cache and fetch what is missing. *)
-  let solved = solve t q in
+  let solved = solve t ~key q in
   classify t solved;
   let model = Server.cost_model t.server in
   let lazy_ok =
@@ -1021,7 +1028,7 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
          elements are not cached: they would outlive the staleness. *)
       (match t.config.caching with
        | Subsumption
-         when CMgr.find_exact t.cache q = None
+         when CMgr.find_key t.cache key = None
               && (CMgr.stats t.cache).CMgr.stale_touches = stale_before ->
          ignore (CMgr.insert t.cache ~def:q (Elem.Generator s))
        | Subsumption | No_cache | Exact_match | Single_relation -> ());
@@ -1037,7 +1044,7 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
       if
         should_cache_eager_result t ses spec solved touched
         && (not degraded_eval)
-        && CMgr.find_exact t.cache q = None
+        && CMgr.find_key t.cache key = None
       then begin
         match CMgr.insert t.cache ~def:q (Elem.Extension (retyped t q rel)) with
         | Some e ->
@@ -1058,7 +1065,7 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
      (match CMgr.find_exact t.cache (Adv.generalized s) with
       | Some e -> Hashtbl.replace ses.elem_spec e.Elem.id s.Braid_advice.Ast.id
       | None ->
-        (match CMgr.find_exact t.cache q with
+        (match CMgr.find_key t.cache key with
          | Some e -> Hashtbl.replace ses.elem_spec e.Elem.id s.Braid_advice.Ast.id
          | None -> ()))
    | None -> ());
@@ -1145,7 +1152,9 @@ let answer_conj t ?session ?spec_id ?prefer_lazy (q : A.conj) =
   let ses = Option.value session ~default:t.default_session in
   Obs.Metrics.incr "qpo.queries";
   Obs.Trace.with_span ~cat:"qpo" "qpo.answer"
-    ~args:[ ("query", Obs.Trace.Str (A.conj_to_string q)) ]
+    ~args:
+      (if Obs.Trace.enabled () then [ ("query", Obs.Trace.Str (A.conj_to_string q)) ]
+       else [])
     (fun () ->
       let a = answer_conj_untraced t ses ?spec_id ?prefer_lazy q in
       Obs.Trace.add_arg "provenance"

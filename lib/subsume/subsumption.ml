@@ -161,6 +161,20 @@ let build_cover element (q : A.conj) theta used =
     Some { element_id = element.id; replacement = L.Atom.make element.id args; covered }
   else None
 
+(* Covers are deduplicated on what they contribute to a rewriting: the
+   covered query atoms and the replacement's arguments (its predicate is
+   always the element id). *)
+module Seen = Hashtbl.Make (struct
+  type t = int list * L.Term.t list
+
+  let equal (c, args) (c', args') =
+    List.equal Int.equal c c' && List.equal L.Term.equal args args'
+
+  let hash (c, args) =
+    let h = List.fold_left (fun h i -> (h * 31) + i) 0 c in
+    List.fold_left (fun h t -> (h * 31) + L.Term.hash t) h args land max_int
+end)
+
 let covers element (q : A.conj) =
   let e_atoms = Array.of_list element.def.A.atoms in
   let q_atoms = Array.of_list q.A.atoms in
@@ -168,16 +182,14 @@ let covers element (q : A.conj) =
   if ne = 0 || nq = 0 then []
   else begin
     let results = ref [] in
-    let seen = Hashtbl.create 8 in
+    let seen = Seen.create 8 in
     let rec assign i theta used =
       if i = ne then begin
         match (try build_cover element q theta used with Exit -> None) with
         | Some cover ->
-          let key =
-            (cover.covered, L.Atom.to_string cover.replacement)
-          in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.add seen key ();
+          let key = (cover.covered, cover.replacement.L.Atom.args) in
+          if not (Seen.mem seen key) then begin
+            Seen.add seen key ();
             results := cover :: !results
           end
         | None -> ()

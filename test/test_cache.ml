@@ -180,6 +180,25 @@ let test_insert_and_find_exact () =
   check_bool "different def not exact" true
     (CMgr.find_exact c (A.conj [ v "B" ] [ atom "b" [ T.Const (V.Int 1); v "B" ] ]) = None)
 
+let test_find_exact_float_constants () =
+  let c = CMgr.create ~capacity_bytes:1_000_000 () in
+  let q x = A.conj [ v "B" ] [ atom "b" [ T.Const (V.Float x); v "B" ] ] in
+  let e =
+    match CMgr.insert c ~def:(q 2.5) (Elem.Extension (rel_of_pairs "b" [ (1, 2) ])) with
+    | Some e -> e
+    | None -> Alcotest.fail "insert failed"
+  in
+  check_bool "2.5000004 is not an exact hit for 2.5" true (CMgr.find_exact c (q 2.5000004) = None);
+  check_bool "2.5 is" true
+    (Option.map (fun (x : Elem.t) -> x.Elem.id) (CMgr.find_exact c (q 2.5)) = Some e.Elem.id);
+  (* the oldest of two variant-equal elements answers, as in insertion order *)
+  ignore (CMgr.insert c ~def:(q 2.5) (Elem.Extension (rel_of_pairs "b" [ (1, 2) ])));
+  check_bool "oldest variant wins" true
+    (Option.map (fun (x : Elem.t) -> x.Elem.id) (CMgr.find_exact c (q 2.5)) = Some e.Elem.id);
+  CMgr.remove_element c e ~pred:"b";
+  check_bool "next variant after removal" true
+    (match CMgr.find_exact c (q 2.5) with Some x -> x.Elem.id <> e.Elem.id | None -> false)
+
 let test_insert_too_large () =
   let c = CMgr.create ~capacity_bytes:100 () in
   check_bool "oversized refused" true
@@ -282,6 +301,8 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "protected never evicted" `Quick
           test_protected_never_evicted;
         Alcotest.test_case "insert and exact lookup" `Quick test_insert_and_find_exact;
+        Alcotest.test_case "exact lookup on float constants" `Quick
+          test_find_exact_float_constants;
         Alcotest.test_case "oversized insert refused" `Quick test_insert_too_large;
         Alcotest.test_case "insert evicts to fit" `Quick test_insert_evicts;
         Alcotest.test_case "relevant covers via pred index" `Quick test_relevant_covers;

@@ -57,6 +57,33 @@ let test_variant_equal () =
   check_bool "constants matter" false
     (A.variant_equal q1 (A.conj [ v "X" ] [ atom "edge" [ v "X"; s "c" ] ]))
 
+let test_variant_equal_floats () =
+  (* Float constants that print alike under %g are still different queries;
+     numerically equal constants (2 and 2.0) are the same one. *)
+  let f x = T.Const (V.Float x) in
+  let q c = A.conj [ v "X" ] [ atom "num" [ v "X"; c ] ] in
+  check_bool "2.5 vs 2.5000004" false (A.variant_equal (q (f 2.5)) (q (f 2.5000004)));
+  check_bool "1 vs 1.0000001" false (A.variant_equal (q (i 1)) (q (f 1.0000001)));
+  check_bool "2 vs 2.0" true (A.variant_equal (q (i 2)) (q (f 2.0)));
+  check_bool "2.5 vs 2.5" true (A.variant_equal (q (f 2.5)) (q (f 2.5)));
+  let cmp c = A.conj ~cmps:[ (R.Row_pred.Gt, L.Literal.Term (v "W"), L.Literal.Term c) ] [ v "X" ]
+      [ atom "num" [ v "X"; v "W" ] ]
+  in
+  check_bool "comparison constants" false (A.variant_equal (cmp (f 2.5)) (cmp (f 2.5000004)))
+
+let test_key_identity () =
+  let q1 = A.conj [ v "X" ] [ atom "edge" [ v "X"; v "Y" ]; atom "num" [ v "Y"; i 3 ] ] in
+  let q2 = A.conj [ v "P" ] [ atom "edge" [ v "P"; v "Q" ]; atom "num" [ v "Q"; i 3 ] ] in
+  let q3 = A.conj [ v "P" ] [ atom "edge" [ v "Q"; v "P" ]; atom "num" [ v "Q"; i 3 ] ] in
+  let k1 = A.key q1 and k2 = A.key q2 and k3 = A.key q3 in
+  check_bool "variants share a key" true (A.key_equal k1 k2);
+  check_int "variants share a hash" (A.key_hash k1) (A.key_hash k2);
+  check_bool "swapped join columns differ" false (A.key_equal k1 k3);
+  let tbl = A.Key_table.create 4 in
+  A.Key_table.replace tbl k1 "q1";
+  check_bool "table lookup by a variant" true (A.Key_table.find_opt tbl k2 = Some "q1");
+  check_bool "table miss on a non-variant" true (A.Key_table.find_opt tbl k3 = None)
+
 let test_apply_subst () =
   let q = A.conj [ v "X"; v "Y" ] [ atom "edge" [ v "X"; v "Y" ] ] in
   let sub = L.Subst.bind "X" (s "a") L.Subst.empty in
@@ -333,6 +360,9 @@ let suites : unit Alcotest.test list =
     ( "caql",
       [
         Alcotest.test_case "variant equality" `Quick test_variant_equal;
+        Alcotest.test_case "variant equality on float constants" `Quick
+          test_variant_equal_floats;
+        Alcotest.test_case "structural query key" `Quick test_key_identity;
         Alcotest.test_case "substitution application" `Quick test_apply_subst;
         Alcotest.test_case "parse simple clause" `Quick test_parse_simple;
         Alcotest.test_case "parse constants and comparisons" `Quick test_parse_constants;

@@ -506,6 +506,39 @@ let test_missing_declared_base_fails_loudly () =
        false
      with Datalog.Unknown_base_relation "missing" -> true)
 
+let test_conj_fetch_memo_float_constants () =
+  (* Two rule bodies whose fetches differ only in a float constant that
+     prints alike under %g must be two fetches, not one memoized one. *)
+  let kb = L.Kb.create () in
+  L.Kb.declare_base kb "m" ~arity:2;
+  let f x = T.Const (V.Float x) in
+  L.Kb.add_rule kb
+    (L.Rule.make ~id:"lo" (atom "lo" [ v "X" ]) [ L.Literal.rel (atom "m" [ v "X"; f 2.5 ]) ]);
+  L.Kb.add_rule kb
+    (L.Rule.make ~id:"hi" (atom "hi" [ v "X" ])
+       [ L.Literal.rel (atom "m" [ v "X"; f 2.5000004 ]) ]);
+  L.Kb.add_rule kb
+    (L.Rule.make ~id:"both" (atom "both" [ v "X"; v "Y" ])
+       [ L.Literal.rel (atom "lo" [ v "X" ]); L.Literal.rel (atom "hi" [ v "Y" ]) ]);
+  let m =
+    R.Relation.of_tuples ~name:"m"
+      (R.Schema.make [ ("n", V.Tstr); ("w", V.Tfloat) ])
+      [ [| V.Str "a"; V.Float 2.5 |]; [| V.Str "b"; V.Float 2.5000004 |] ]
+  in
+  let base = function "m" -> Some m | _ -> None in
+  let schema n = Option.map R.Relation.schema (base n) in
+  let fetch c =
+    Braid_caql.Eval.conj ~source:(fun a -> Option.get (base a.L.Atom.pred)) ~schema_of:schema c
+  in
+  let q = atom "both" [ v "X"; v "Y" ] in
+  let out = Datalog.run kb ~source:(Datalog.Conj_fetch { fetch; schema }) q in
+  let plain = Datalog.solve kb ~base q in
+  check_int "one fetch per distinct constant" 2 out.Datalog.fetches;
+  check_bool "same answers as local extensions" true
+    (norm_rel out.Datalog.result = norm_rel plain.Datalog.result);
+  check_bool "answer is (a, b)" true
+    (norm_rel out.Datalog.result = [ [ V.Str "a"; V.Str "b" ] ])
+
 let test_set_oriented_matches_interpretive () =
   let q = atom "ancestor" [ s "p0"; v "Y" ] in
   let run strategy =
@@ -548,6 +581,8 @@ let extra_cases =
       test_conj_fetch_ships_selections;
     Alcotest.test_case "missing declared base fails loudly" `Quick
       test_missing_declared_base_fails_loudly;
+    Alcotest.test_case "fetch memo keeps float constants apart" `Quick
+      test_conj_fetch_memo_float_constants;
     Alcotest.test_case "set-oriented = interpretive answers" `Quick
       test_set_oriented_matches_interpretive;
     Alcotest.test_case "set-oriented free + base queries" `Quick

@@ -648,6 +648,116 @@ let prop_magic_sound =
         let magic = Datalog.solve m.Magic.kb ~base m.Magic.query in
         norm_rel magic.Datalog.result = restricted)
 
+(* --- exact-match index --- *)
+
+module CMgr = Braid_cache.Cache_manager
+module CModel = Braid_cache.Cache_model
+module Elem = Braid_cache.Element
+
+type cache_op =
+  | Insert of A.conj * int  (** definition, extension rows *)
+  | Invalidate of string
+  | Remove of int  (** position among the live elements *)
+  | Checkpoint
+  | Replay  (** rebuild the manager from its journal *)
+
+(* Few predicates, variables and constants, so variants (and float
+   constants that print alike) recur within a sequence. *)
+let gen_index_def : A.conj QCheck.Gen.t =
+  let open QCheck.Gen in
+  let const =
+    oneofl [ V.Int 1; V.Float 1.0; V.Float 1.0000001; V.Float 2.5; V.Float 2.5000004; V.Str "a" ]
+  in
+  let term =
+    oneof [ (oneofl [ "X"; "Y"; "Z" ] >|= fun x -> T.Var x); (const >|= fun v -> T.Const v) ]
+  in
+  let atom =
+    pair (oneofl [ "b"; "c" ]) (list_repeat 2 term) >|= fun (p, args) -> L.Atom.make p args
+  in
+  list_size (int_range 1 2) atom >|= fun atoms ->
+  let head = List.map (fun x -> T.Var x) (A.body_vars (A.conj [] atoms)) in
+  A.conj head atoms
+
+let gen_cache_op : cache_op QCheck.Gen.t =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, pair gen_index_def (int_range 0 12) >|= fun (d, n) -> Insert (d, n));
+      (1, oneofl [ "b"; "c" ] >|= fun p -> Invalidate p);
+      (2, int_range 0 7 >|= fun i -> Remove i);
+      (1, return Checkpoint);
+      (1, return Replay);
+    ]
+
+let print_cache_op = function
+  | Insert (d, n) -> Printf.sprintf "insert %s (%d rows)" (A.conj_to_string d) n
+  | Invalidate p -> "invalidate " ^ p
+  | Remove i -> Printf.sprintf "remove #%d" i
+  | Checkpoint -> "checkpoint"
+  | Replay -> "replay"
+
+let extension_for (d : A.conj) rows =
+  let arity = List.length d.A.head in
+  R.Relation.of_tuples ~name:"ext"
+    (R.Schema.make (List.init arity (fun i -> (Printf.sprintf "c%d" i, V.Tint))))
+    (List.init rows (fun r -> Array.init arity (fun c -> V.Int ((r * 7) + c))))
+
+let prop_exact_index_matches_scan =
+  (* Room for a handful of elements: inserts evict. *)
+  let capacity_bytes =
+    4 * R.Relation.bytes_estimate (extension_for (A.conj [ T.Var "X"; T.Var "Y" ] []) 12)
+  in
+  QCheck.Test.make ~count:300 ~name:"keyed find_exact = first variant in insertion order"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_cache_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_cache_op))
+    (fun ops ->
+      let probes =
+        List.filter_map (function Insert (d, _) -> Some d | _ -> None) ops
+      in
+      let agrees c =
+        let elements = CModel.elements (CMgr.model c) in
+        List.for_all
+          (fun q ->
+            let id = Option.map (fun (e : Elem.t) -> e.Elem.id) in
+            id (CMgr.find_exact c q)
+            = id (List.find_opt (fun (e : Elem.t) -> A.variant_equal e.Elem.def q) elements))
+          probes
+      in
+      let step c = function
+        | Insert (d, n) ->
+          ignore (CMgr.insert c ~def:d (Elem.Extension (extension_for d n)));
+          c
+        | Invalidate p ->
+          ignore (CMgr.invalidate_pred c p);
+          c
+        | Remove i ->
+          (match List.nth_opt (CModel.elements (CMgr.model c)) i with
+           | Some e -> CMgr.remove_element c e ~pred:"b"
+           | None -> ());
+          c
+        | Checkpoint ->
+          ignore (CMgr.checkpoint c);
+          c
+        | Replay ->
+          let journal = CMgr.journal c in
+          let model =
+            Braid_cache.Journal.replay ~capacity_bytes
+              ~rebuild_generator:(fun _ -> invalid_arg "no generators here") journal
+          in
+          CMgr.create ~journal ~model ~capacity_bytes ()
+      in
+      let c, ok =
+        List.fold_left
+          (fun (c, ok) op ->
+            let c = step c op in
+            (c, ok && agrees c))
+          (CMgr.create ~capacity_bytes (), true)
+          ops
+      in
+      List.iter (fun e -> CMgr.remove_element c e ~pred:"b") (CModel.elements (CMgr.model c));
+      ok && CModel.key_count (CMgr.model c) = 0)
+
 let to_alcotest = List.map (QCheck_alcotest.to_alcotest ~verbose:false)
 
 
@@ -688,5 +798,6 @@ let suites : unit Alcotest.test list =
           prop_enumerated_plan_equals_naive;
           prop_datalog_algorithms_agree;
           prop_magic_sound;
+          prop_exact_index_matches_scan;
         ] );
   ]
