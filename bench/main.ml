@@ -21,7 +21,8 @@
    experiment counters to PATH (schema documented in EXPERIMENTS.md); the
    committed BENCH_relalg.json is a snapshot of that output. --check
    regenerates only the deterministic counters and fails (exit 1) if the
-   snapshot at PATH disagrees — the CI bench-smoke job runs this; timings
+   snapshot at PATH disagrees, or if the E19 set-oriented invariants fail
+   on either (see [e19_violations]) — the CI bench-smoke job runs this; timings
    are uploaded as artifacts but never gated on. --seed overrides the
    experiments' default PRNG seeds (the snapshot uses the defaults).
 
@@ -91,6 +92,21 @@ let bench_find_exact =
   assert (CMgr.find_exact cache probe <> None);
   Bechamel.Test.make ~name:"find_exact_300_elements"
     (Bechamel.Staged.stage (fun () -> ignore (CMgr.find_exact cache probe)))
+
+(* One magic-set goal of the closure workload, solved by the semi-naive
+   fixpoint over a 1,500-person forest: ancestor(p1, Y), transformed, then
+   evaluated against local extensions. *)
+let bench_datalog_closure =
+  let rels = Braid_workload.Datagen.family ~persons:1500 ~fanout:3 () in
+  let base name = List.find_opt (fun r -> R.Relation.name r = name) rels in
+  let m =
+    Option.get
+      (Braid_ie.Magic.transform (Braid_workload.Kbgen.ancestor ())
+         (atom "ancestor" [ s "p1"; v "Y" ]))
+  in
+  Bechamel.Test.make ~name:"datalog_closure_1500"
+    (Bechamel.Staged.stage (fun () ->
+         ignore (Braid_ie.Datalog.solve m.Braid_ie.Magic.kb ~base m.Braid_ie.Magic.query)))
 
 let bench_hash_join =
   let schema = R.Schema.make [ ("x", V.Tint); ("y", V.Tint) ] in
@@ -216,6 +232,7 @@ let micro_tests =
     bench_match;
     bench_subsumption;
     bench_find_exact;
+    bench_datalog_closure;
     bench_hash_join;
     bench_index_nl_join;
     bench_merge_join_sorted;
@@ -682,6 +699,71 @@ let experiment_counters text =
       String.length p >= 12 && String.sub p 0 12 = "experiments.")
     (flatten_json text)
 
+(* The E19 invariants, read off a flattened experiments block: the
+   counters must witness the I-C range's set-oriented endpoint, not merely
+   equal a snapshot. Every strategy's answers are oracle-identical to a
+   fault-free reference fixpoint, with one solution count; the
+   set-oriented tier sends at least 10x fewer remote requests and CAQL
+   queries than the interpretive tier; its derivation work (resolutions)
+   stays below the fully compiled fixpoint, since magic sets restrict it to
+   query-relevant tuples; and the fixpoint counters show the magic
+   transform ran (rounds, fetches, magic tuples all non-zero). Returns one
+   message per violated invariant. *)
+let e19_violations counters =
+  let field path name =
+    match List.assoc_opt (path ^ "." ^ name) counters with
+    | Some text -> text
+    | None -> failwith (Printf.sprintf "%s.%s missing" path name)
+  in
+  let int path name =
+    match int_of_string_opt (field path name) with
+    | Some n -> n
+    | None -> failwith (Printf.sprintf "%s.%s is not an integer" path name)
+  in
+  let rows =
+    let rec go i acc =
+      let path = Printf.sprintf "experiments.e19_set_oriented[%d]" i in
+      if List.mem_assoc (path ^ ".strategy") counters then go (i + 1) (path :: acc)
+      else List.rev acc
+    in
+    go 0 []
+  in
+  let row strategy =
+    match List.find_opt (fun p -> field p "strategy" = Printf.sprintf "%S" strategy) rows with
+    | Some p -> p
+    | None -> failwith (Printf.sprintf "e19_set_oriented has no %S row" strategy)
+  in
+  match
+    let interp = row "interpretive"
+    and setor = row "set-oriented"
+    and full = row "fully compiled" in
+    let counters = "experiments.e19_set_counters" in
+    List.concat_map
+      (fun p ->
+        (if field p "identical" = "true" then []
+         else [ p ^ ": answers differ from the reference fixpoint" ])
+        @
+        if int p "solutions" = int interp "solutions" then []
+        else [ p ^ ": solution count differs from the interpretive tier" ])
+      rows
+    @ List.filter_map
+        (fun (ok, msg) -> if ok then None else Some msg)
+        [
+          (int interp "solutions" > 0, "interpretive: no solutions");
+          ( int interp "remote_requests" >= 10 * int setor "remote_requests",
+            "set-oriented: fewer than 10x fewer remote requests than interpretive" );
+          ( int interp "caql_queries" >= 10 * int setor "caql_queries",
+            "set-oriented: fewer than 10x fewer CAQL queries than interpretive" );
+          ( int setor "resolutions" < int full "resolutions",
+            "set-oriented: resolutions not below fully compiled" );
+          (int counters "rounds" > 0, "e19_set_counters: no fixpoint rounds");
+          (int counters "fetches" > 0, "e19_set_counters: no conjunctive fetches");
+          (int counters "magic_tuples" > 0, "e19_set_counters: no magic tuples");
+        ]
+  with
+  | violations -> violations
+  | exception Failure msg -> [ msg ]
+
 (* CI gate: regenerate the deterministic experiment counters and require
    the committed snapshot to contain exactly that text. Timing estimates
    drift with hardware and are deliberately not compared. On a mismatch the
@@ -702,55 +784,75 @@ let check_json ?seed path =
     let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
     nn = 0 || go 0
   in
-  if contains committed expected then begin
-    Printf.printf "check ok: %s matches the deterministic experiment counters\n" path;
-    true
-  end
+  let matches =
+    if contains committed expected then begin
+      Printf.printf "check ok: %s matches the deterministic experiment counters\n" path;
+      true
+    end
+    else begin
+      Printf.eprintf
+        "check FAILED: %s does not contain the regenerated experiment counters.\n"
+        path;
+      (match
+         ( experiment_counters committed,
+           experiment_counters ("{\n" ^ expected ^ "}\n") )
+       with
+       | exception Failure _ ->
+         (* Unparseable snapshot (or harness bug): fall back to the fragment. *)
+         Printf.eprintf
+           "Expected this fragment (regenerate the snapshot with --json if the \
+            change is intended):\n%s"
+           expected
+       | snapshot, regenerated ->
+         let drifted =
+           List.filter_map
+             (fun (p, want) ->
+               match List.assoc_opt p snapshot with
+               | Some got when got = want -> None
+               | Some got -> Some (Printf.sprintf "  %s: snapshot %s, regenerated %s" p got want)
+               | None -> Some (Printf.sprintf "  %s: missing from snapshot, regenerated %s" p want))
+             regenerated
+           @ List.filter_map
+               (fun (p, got) ->
+                 if List.mem_assoc p regenerated then None
+                 else
+                   Some
+                     (Printf.sprintf
+                        "  %s: snapshot %s, absent from the regenerated counters" p got))
+               snapshot
+         in
+         if drifted = [] then
+           Printf.eprintf
+             "Every counter agrees but the snapshot's experiments block is \
+              formatted differently; regenerate it with --json.\n"
+         else begin
+           Printf.eprintf "%d drifted counter(s) (of %d regenerated):\n"
+             (List.length drifted) (List.length regenerated);
+           List.iter prerr_endline drifted;
+           Printf.eprintf
+             "Regenerate the snapshot with --json if the change is intended.\n"
+         end);
+      false
+    end
+  in
+  (* The E19 invariants must hold on the live run and on the snapshot. *)
+  let invariant_failures =
+    List.concat_map
+      (fun (what, text) ->
+        List.map
+          (fun msg -> Printf.sprintf "  %s: %s" what msg)
+          (match experiment_counters text with
+           | counters -> e19_violations counters
+           | exception Failure msg -> [ msg ]))
+      [ ("live run", "{\n" ^ expected ^ "}\n"); (path, committed) ]
+  in
+  if invariant_failures = [] then
+    print_endline "check ok: E19 set-oriented invariants hold on the live run and the snapshot"
   else begin
-    Printf.eprintf
-      "check FAILED: %s does not contain the regenerated experiment counters.\n"
-      path;
-    (match
-       ( experiment_counters committed,
-         experiment_counters ("{\n" ^ expected ^ "}\n") )
-     with
-     | exception Failure _ ->
-       (* Unparseable snapshot (or harness bug): fall back to the fragment. *)
-       Printf.eprintf
-         "Expected this fragment (regenerate the snapshot with --json if the \
-          change is intended):\n%s"
-         expected
-     | snapshot, regenerated ->
-       let drifted =
-         List.filter_map
-           (fun (p, want) ->
-             match List.assoc_opt p snapshot with
-             | Some got when got = want -> None
-             | Some got -> Some (Printf.sprintf "  %s: snapshot %s, regenerated %s" p got want)
-             | None -> Some (Printf.sprintf "  %s: missing from snapshot, regenerated %s" p want))
-           regenerated
-         @ List.filter_map
-             (fun (p, got) ->
-               if List.mem_assoc p regenerated then None
-               else
-                 Some
-                   (Printf.sprintf
-                      "  %s: snapshot %s, absent from the regenerated counters" p got))
-             snapshot
-       in
-       if drifted = [] then
-         Printf.eprintf
-           "Every counter agrees but the snapshot's experiments block is \
-            formatted differently; regenerate it with --json.\n"
-       else begin
-         Printf.eprintf "%d drifted counter(s) (of %d regenerated):\n"
-           (List.length drifted) (List.length regenerated);
-         List.iter prerr_endline drifted;
-         Printf.eprintf
-           "Regenerate the snapshot with --json if the change is intended.\n"
-       end);
-    false
-  end
+    prerr_endline "check FAILED: E19 set-oriented invariants violated:";
+    List.iter prerr_endline invariant_failures
+  end;
+  matches && invariant_failures = []
 
 (* --- span tracing (--trace) --- *)
 

@@ -82,19 +82,17 @@ let get_or_create table def bindings rule_id =
 let run_spec table ~rule ~bound (atoms, conds) =
   let head_vars = L.Atom.vars rule.L.Rule.head in
   let run_lits = List.map (fun a -> L.Literal.Rel a) atoms @ conds in
-  let run_keys = List.map L.Literal.to_string run_lits in
   (* Body variables outside the run: every body literal not consumed by the
-     run (matching by printed form, consuming duplicates). *)
-  let remaining = ref run_keys in
+     run (structural matching, consuming duplicates). *)
+  let remaining = ref run_lits in
   let outside =
     List.concat_map
       (fun lit ->
-        let key = L.Literal.to_string lit in
-        if List.mem key !remaining then begin
+        if List.exists (L.Literal.equal lit) !remaining then begin
           (* remove one occurrence *)
           let rec remove = function
             | [] -> []
-            | k :: rest -> if String.equal k key then rest else k :: remove rest
+            | l :: rest -> if L.Literal.equal l lit then rest else l :: remove rest
           in
           remaining := remove !remaining;
           []

@@ -47,19 +47,37 @@ let reachable kb query =
 let rule_query (r : L.Rule.t) =
   A.conj ~cmps:(body_cmps r) r.L.Rule.head.L.Atom.args (body_atoms r)
 
-(* [rule_query] with the [j]-th relation occurrence renamed to the delta
-   marker, for semi-naive occurrence-restricted joins. *)
 let delta_marker p = "\xce\x94" ^ p (* Δp *)
 
+(* The predicate a delta-marked name stands for. *)
+let delta_of name =
+  if String.starts_with ~prefix:"\xce\x94" name then
+    Some (String.sub name 2 (String.length name - 2))
+  else None
+
+(* [rule_query] with the [j]-th relation occurrence renamed to the delta
+   marker and moved to the front, for semi-naive occurrence-restricted
+   joins. The other atoms follow greedily: each next one is the first, in
+   body order, that shares a variable with those already placed (else the
+   first left), so the joins after the delta probe on bound columns. A
+   conjunctive query's output bag does not depend on its atom order. *)
 let rule_query_with_delta (r : L.Rule.t) j =
   let q = rule_query r in
-  let atoms =
-    List.mapi
-      (fun i (a : L.Atom.t) ->
-        if i = j then { a with L.Atom.pred = delta_marker a.L.Atom.pred } else a)
-      q.A.atoms
+  let atoms = List.mapi (fun i a -> (i, a)) q.A.atoms in
+  let delta_atom = List.assoc j atoms in
+  let rec order bound = function
+    | [] -> []
+    | first :: _ as rest ->
+      let shares (_, a) = List.exists (fun v -> List.mem v bound) (L.Atom.vars a) in
+      let i, a = Option.value ~default:first (List.find_opt shares rest) in
+      a :: order (L.Atom.vars a @ bound) (List.remove_assoc i rest)
   in
-  { q with A.atoms }
+  {
+    q with
+    A.atoms =
+      { delta_atom with L.Atom.pred = delta_marker delta_atom.L.Atom.pred }
+      :: order (L.Atom.vars delta_atom) (List.remove_assoc j atoms);
+  }
 
 (* A predicate that is neither derived nor declared base fails (empty), as
    in Prolog. The placeholder schema is never joined against a tuple — the
@@ -173,6 +191,14 @@ let componentize kb (r : L.Rule.t) =
   in
   ({ r with L.Rule.body = body' }, List.map (fun (_, p, _, c) -> (p, c)) built)
 
+(* A rule prepared for evaluation: its full query (round 0, naive rounds)
+   and, per derived body occurrence, that occurrence's predicate with the
+   delta-first query restricted to it (semi-naive rounds). *)
+type prepared_rule = {
+  full : A.conj;
+  deltas : (string * A.conj) list;
+}
+
 let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
   let skip = Hashtbl.create (max 4 (List.length skip_rules)) in
   List.iter (fun id -> Hashtbl.replace skip id ()) skip_rules;
@@ -183,9 +209,10 @@ let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
   let fetches = ref 0 in
   let fetched_tuples = ref 0 in
   (* Rules are prepared once per predicate: skip-filtered, and in fetch
-     mode componentized so each base group is one pseudo-atom. *)
-  let pseudo_defs : (string, A.conj) Hashtbl.t = Hashtbl.create 16 in
-  let prepared : (string, L.Rule.t list) Hashtbl.t = Hashtbl.create 16 in
+     mode componentized so each base group is one pseudo-atom whose fetch
+     key is computed here, once. *)
+  let pseudo_defs : (string, A.conj * A.key) Hashtbl.t = Hashtbl.create 16 in
+  let prepared : (string, prepared_rule list) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun p ->
       let rs =
@@ -200,11 +227,26 @@ let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
           List.map
             (fun r ->
               let r', comps = componentize kb r in
-              List.iter (fun (pseudo, c) -> Hashtbl.replace pseudo_defs pseudo c) comps;
+              List.iter
+                (fun (pseudo, c) -> Hashtbl.replace pseudo_defs pseudo (c, A.key c))
+                comps;
               r')
             rs
       in
-      Hashtbl.replace prepared p rs)
+      let prepare r =
+        {
+          full = rule_query r;
+          deltas =
+            List.concat
+              (List.mapi
+                 (fun j (a : L.Atom.t) ->
+                   if is_derived a.L.Atom.pred then
+                     [ (a.L.Atom.pred, rule_query_with_delta r j) ]
+                   else [])
+                 (body_atoms r));
+        }
+      in
+      Hashtbl.replace prepared p (List.map prepare rs))
     derived;
   let rules_for p = Option.value ~default:[] (Hashtbl.find_opt prepared p) in
   (* Fail loudly up front when a componentized base relation has no catalog
@@ -213,7 +255,7 @@ let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
    | Extensions _ -> ()
    | Conj_fetch { schema; _ } ->
      Hashtbl.iter
-       (fun _ (c : A.conj) ->
+       (fun _ ((c : A.conj), _) ->
          List.iter
            (fun (a : L.Atom.t) ->
              if schema a.L.Atom.pred = None then
@@ -229,26 +271,28 @@ let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
      before anything is fetched. *)
   let pseudo_schema = Hashtbl.create 16 in
   Hashtbl.iter
-    (fun pseudo c ->
+    (fun pseudo (c, _) ->
       Hashtbl.replace pseudo_schema pseudo (Braid_caql.Analyze.schema_of_conj base_schema c))
     pseudo_defs;
   let total : (string, R.Relation.t) Hashtbl.t = Hashtbl.create 16 in
   let delta : (string, R.Relation.t) Hashtbl.t = Hashtbl.create 16 in
   let schema_of name =
-    match Hashtbl.find_opt total name with
-    | Some r -> Some (R.Relation.schema r)
+    match delta_of name with
+    | Some p -> Option.map R.Relation.schema (Hashtbl.find_opt delta p)
     | None ->
-      (match Hashtbl.find_opt pseudo_schema name with
-       | Some s -> Some s
-       | None -> base_schema name)
+      (match Hashtbl.find_opt total name with
+       | Some r -> Some (R.Relation.schema r)
+       | None ->
+         (match Hashtbl.find_opt pseudo_schema name with
+          | Some s -> Some s
+          | None -> base_schema name))
   in
   (* Fetches are memoized on the canonical conjunct: base extensions are
      immutable during a fixpoint, so each distinct body fetch is issued
      once and reused across rounds (rounds after the first would be exact
      cache hits anyway). *)
   let fetch_memo : R.Relation.t A.Key_table.t = A.Key_table.create 16 in
-  let do_fetch name (c : A.conj) =
-    let key = A.key c in
+  let do_fetch name ((c : A.conj), key) =
     match A.Key_table.find_opt fetch_memo key with
     | Some r -> R.Relation.with_name name r
     | None ->
@@ -261,24 +305,37 @@ let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
          A.Key_table.replace fetch_memo key r;
          R.Relation.with_name name r)
   in
+  (* Whole-extension fetch definitions, built once per base predicate. *)
+  let whole_base_defs = Hashtbl.create 8 in
   let whole_base p =
-    match L.Kb.base_arity kb p with
-    | None -> None
-    | Some arity ->
-      let vars = List.init arity (fun i -> L.Term.Var (Printf.sprintf "V%d" i)) in
-      Some (do_fetch p (A.conj vars [ L.Atom.make p vars ]))
+    let def =
+      match Hashtbl.find_opt whole_base_defs p with
+      | Some def -> def
+      | None ->
+        let def =
+          Option.map
+            (fun arity ->
+              let vars = List.init arity (fun i -> L.Term.Var (Printf.sprintf "V%d" i)) in
+              let c = A.conj vars [ L.Atom.make p vars ] in
+              (c, A.key c))
+            (L.Kb.base_arity kb p)
+        in
+        Hashtbl.add whole_base_defs p def;
+        def
+    in
+    Option.map (do_fetch p) def
   in
-  (* sources: [source] resolves derived predicates to their running totals;
-     delta markers to the previous round's delta; pseudo-atoms to their
-     (memoized) fetched components. A predicate declared base but absent
-     from the supplied extensions fails loudly — an empty all-[Tstr]
+  (* sources: [source] resolves delta markers to the previous round's
+     delta; derived predicates to their running totals; pseudo-atoms to
+     their (memoized) fetched components. A predicate declared base but
+     absent from the supplied extensions fails loudly — an empty all-[Tstr]
      placeholder would silently type-mismatch an int-keyed join. *)
   let source (a : L.Atom.t) =
     let p = a.L.Atom.pred in
-    match Hashtbl.find_opt total p with
-    | Some r -> r
+    match delta_of p with
+    | Some d -> Hashtbl.find delta d
     | None ->
-      (match Hashtbl.find_opt delta p with
+      (match Hashtbl.find_opt total p with
        | Some r -> r
        | None ->
          (match src with
@@ -290,7 +347,7 @@ let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
                else prolog_fail a)
           | Conj_fetch { schema; _ } ->
             (match Hashtbl.find_opt pseudo_defs p with
-             | Some c -> do_fetch p c
+             | Some def -> do_fetch p def
              | None ->
                if L.Kb.is_base kb p then begin
                  if schema p = None then raise (Unknown_base_relation p);
@@ -307,30 +364,30 @@ let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
       match rules_for p with
       | [] -> Hashtbl.replace total p (R.Relation.create ~name:p (R.Schema.make []))
       | r :: _ ->
-        let schema = Braid_caql.Analyze.schema_of_conj schema_of (rule_query r) in
+        let schema = Braid_caql.Analyze.schema_of_conj schema_of r.full in
         Hashtbl.replace total p (R.Relation.create ~name:p schema))
     derived;
   let tuples_produced = ref 0 in
   let iterations = ref 0 in
-  let eval q =
-    let rel = Braid_caql.Eval.conj ~source ~schema_of q in
+  let eval ?index q =
+    let rel = Braid_caql.Eval.conj ?index ~source ~schema_of q in
     tuples_produced := !tuples_produced + R.Relation.cardinality rel;
     rel
   in
-  let union_distinct rels =
-    match rels with
-    | [] -> None
-    | first :: rest -> Some (R.Relation.distinct (List.fold_left R.Ops.union_all first rest))
-  in
   (match algorithm with
    | `Naive ->
+     let union_distinct rels =
+       match rels with
+       | [] -> None
+       | first :: rest -> Some (R.Relation.distinct (List.fold_left R.Ops.union_all first rest))
+     in
      let changed = ref true in
      while !changed do
        incr iterations;
        changed := false;
        List.iter
          (fun p ->
-           match union_distinct (List.map (fun r -> eval (rule_query r)) (rules_for p)) with
+           match union_distinct (List.map (fun r -> eval r.full) (rules_for p)) with
            | None -> ()
            | Some combined ->
              let previous = Hashtbl.find total p in
@@ -341,75 +398,95 @@ let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
          derived
      done
    | `Semi_naive ->
-     (* round 0: full evaluation (recursive occurrences see empty totals) *)
+     (* Hash indexes kept for the whole run, per predicate and column list,
+        each built on first use. Fetched components and base extensions do
+        not change during a run; a derived total only grows, and [append]
+        adds every new tuple to the total's indexes. Deltas are never
+        indexed: the delta-first order makes them the probe side. *)
+     let indexes : (string, (int list * R.Index.t) list) Hashtbl.t = Hashtbl.create 16 in
+     (* Pseudo-atoms of different rules with one fetch key resolve to one
+        memoized relation, so they share its indexes under one name. *)
+     let shared_name = Hashtbl.create 16 in
+     let first_by_key = A.Key_table.create 16 in
+     Hashtbl.iter
+       (fun pseudo (_, key) ->
+         match A.Key_table.find_opt first_by_key key with
+         | Some first -> Hashtbl.replace shared_name pseudo first
+         | None -> A.Key_table.replace first_by_key key pseudo)
+       pseudo_defs;
+     let index (a : L.Atom.t) cols =
+       let p = Option.value ~default:a.L.Atom.pred (Hashtbl.find_opt shared_name a.L.Atom.pred) in
+       if Option.is_some (delta_of p) then None
+       else
+         let kept = Option.value ~default:[] (Hashtbl.find_opt indexes p) in
+         match List.assoc_opt cols kept with
+         | Some _ as ix -> ix
+         | None ->
+           let ix = R.Index.build (source a) cols in
+           Hashtbl.replace indexes p ((cols, ix) :: kept);
+           Some ix
+     in
+     (* Totals are append-only and owned here: a membership set per derived
+        predicate filters a round's contributions, and each unseen tuple is
+        appended in place to the total, to its indexes and to the round's
+        delta, which [append] returns. A round costs the size of its
+        contributions, never that of the total. *)
+     let members : (string, unit R.Relation.Tuple_tbl.t) Hashtbl.t = Hashtbl.create 16 in
+     let append p contributions =
+       let total_p = Hashtbl.find total p in
+       let seen = Hashtbl.find members p in
+       let kept = Option.value ~default:[] (Hashtbl.find_opt indexes p) in
+       let fresh = R.Relation.create ~name:p (R.Relation.schema total_p) in
+       List.iter
+         (R.Relation.iter (fun t ->
+              if not (R.Relation.Tuple_tbl.mem seen t) then begin
+                R.Relation.Tuple_tbl.add seen t ();
+                R.Relation.add total_p t;
+                List.iter (fun (_, ix) -> R.Index.add ix t) kept;
+                R.Relation.add fresh t
+              end))
+         contributions;
+       fresh
+     in
+     (* round 0: full evaluation (recursive occurrences see empty totals).
+        A total takes the schema of its first rule's result; indexes kept
+        on the empty placeholder are dropped with it. *)
      incr iterations;
      List.iter
        (fun p ->
-         match union_distinct (List.map (fun r -> eval (rule_query r)) (rules_for p)) with
-         | None -> ()
-         | Some combined ->
-           Hashtbl.replace total p (R.Relation.with_name p combined);
-           Hashtbl.replace delta p combined)
+         match List.map (fun r -> eval ~index r.full) (rules_for p) with
+         | [] -> ()
+         | first :: _ as contributions ->
+           Hashtbl.replace total p (R.Relation.create ~name:p (R.Relation.schema first));
+           Hashtbl.replace members p (R.Relation.Tuple_tbl.create 64);
+           Hashtbl.remove indexes p;
+           Hashtbl.replace delta p (append p contributions))
        derived;
-     let any_delta () =
-       List.exists
-         (fun p ->
-           match Hashtbl.find_opt delta p with
-           | Some d -> R.Relation.cardinality d > 0
-           | None -> false)
-         derived
+     let has_delta p =
+       match Hashtbl.find_opt delta p with
+       | Some d -> R.Relation.cardinality d > 0
+       | None -> false
      in
-     while any_delta () do
+     while List.exists has_delta derived do
        incr iterations;
        let next_delta = Hashtbl.create 16 in
        List.iter
          (fun p ->
+           (* each rule once per derived occurrence with a non-empty delta,
+              that occurrence resolved through the delta *)
            let contributions =
              List.concat_map
-               (fun (r : L.Rule.t) ->
-                 let atoms = body_atoms r in
-                 List.concat
-                   (List.mapi
-                      (fun j (a : L.Atom.t) ->
-                        if
-                          is_derived a.L.Atom.pred
-                          &&
-                          match Hashtbl.find_opt delta a.L.Atom.pred with
-                          | Some d -> R.Relation.cardinality d > 0
-                          | None -> false
-                        then begin
-                          (* resolve occurrence j through the delta *)
-                          let q = rule_query_with_delta r j in
-                          let source' (at : L.Atom.t) =
-                            let p' = at.L.Atom.pred in
-                            if String.length p' > 2 && String.sub p' 0 2 = "\xce\x94" then
-                              Hashtbl.find delta (String.sub p' 2 (String.length p' - 2))
-                            else source at
-                          in
-                          let schema_of' n =
-                            if String.length n > 2 && String.sub n 0 2 = "\xce\x94" then
-                              Option.map R.Relation.schema
-                                (Hashtbl.find_opt delta (String.sub n 2 (String.length n - 2)))
-                            else schema_of n
-                          in
-                          let rel = Braid_caql.Eval.conj ~source:source' ~schema_of:schema_of' q in
-                          tuples_produced := !tuples_produced + R.Relation.cardinality rel;
-                          [ rel ]
-                        end
-                        else [])
-                      atoms))
+               (fun r ->
+                 List.filter_map
+                   (fun (d, q) -> if has_delta d then Some (eval ~index q) else None)
+                   r.deltas)
                (rules_for p)
            in
-           match union_distinct contributions with
-           | None -> ()
-           | Some combined ->
-             let previous = Hashtbl.find total p in
-             let fresh = R.Ops.diff combined previous in
-             if R.Relation.cardinality fresh > 0 then begin
-               Hashtbl.replace total p
-                 (R.Relation.with_name p (R.Relation.distinct (R.Ops.union_all previous fresh)));
-               Hashtbl.replace next_delta p fresh
-             end)
+           match contributions with
+           | [] -> ()
+           | _ ->
+             let fresh = append p contributions in
+             if R.Relation.cardinality fresh > 0 then Hashtbl.replace next_delta p fresh)
          derived;
        Hashtbl.reset delta;
        Hashtbl.iter (fun p d -> Hashtbl.replace delta p d) next_delta

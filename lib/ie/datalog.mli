@@ -15,6 +15,10 @@
     - [`Semi_naive] (default): rounds after the first join each rule once
       per recursive body occurrence with that occurrence restricted to the
       previous round's {e delta}, so settled tuples are not re-derived.
+      The delta atom is joined first; totals grow in place behind a
+      membership set, and hash indexes on totals, fetched components and
+      base extensions are kept for the run, so a round costs its delta
+      and its joins rather than the size of everything derived so far.
 
     The [tuples_produced] counter measures the work difference. *)
 

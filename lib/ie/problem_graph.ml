@@ -102,16 +102,11 @@ let rule_ids t =
   Hashtbl.fold (fun id () acc -> id :: acc) ids [] |> List.sort String.compare
 
 let base_goals t =
-  let seen = Hashtbl.create 16 in
   let out = ref [] in
   let rec go node =
     (match node.kind with
      | Base ->
-       let key = L.Atom.to_string node.goal in
-       if not (Hashtbl.mem seen key) then begin
-         Hashtbl.add seen key ();
-         out := node.goal :: !out
-       end
+       if not (List.exists (L.Atom.equal node.goal) !out) then out := node.goal :: !out
      | Derived | Undefined -> ());
     List.iter
       (fun b ->

@@ -184,7 +184,6 @@ let shape kb ~cardinality (g : PG.t) =
 
 let rule_orderings (g : PG.t) =
   let orderings = ref [] in
-  let lit_key l = L.Literal.to_string l in
   let record (b : PG.and_node) =
     let id = b.PG.rule.L.Rule.id in
     if not (List.mem_assoc id !orderings) then begin
@@ -193,10 +192,10 @@ let rule_orderings (g : PG.t) =
       let positions =
         List.filter_map
           (fun child ->
-            let key = lit_key (literal_of_child child) in
+            let lit = literal_of_child child in
             let rec find i =
               if i >= Array.length body then None
-              else if (not used.(i)) && String.equal (lit_key body.(i)) key then begin
+              else if (not used.(i)) && L.Literal.equal body.(i) lit then begin
                 used.(i) <- true;
                 Some i
               end

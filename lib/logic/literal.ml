@@ -62,6 +62,21 @@ let eval_cmp = function
 
 let is_builtin = function Rel _ -> false | Cmp _ -> true
 
+let rec expr_equal a b =
+  match a, b with
+  | Term x, Term y -> Term.equal x y
+  | Add (a1, a2), Add (b1, b2)
+  | Sub (a1, a2), Sub (b1, b2)
+  | Mul (a1, a2), Mul (b1, b2)
+  | Div (a1, a2), Div (b1, b2) -> expr_equal a1 b1 && expr_equal a2 b2
+  | (Term _ | Add _ | Sub _ | Mul _ | Div _), _ -> false
+
+let equal a b =
+  match a, b with
+  | Rel x, Rel y -> Atom.equal x y
+  | Cmp (c, a1, a2), Cmp (c', b1, b2) -> c = c' && expr_equal a1 b1 && expr_equal a2 b2
+  | (Rel _ | Cmp _), _ -> false
+
 let rec rename_expr f = function
   | Term (Term.Var x) -> Term (Term.Var (f x))
   | Term (Term.Const _) as e -> e

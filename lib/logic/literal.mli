@@ -30,6 +30,12 @@ val eval_cmp : t -> bool option
 (** Evaluates a ground [Cmp]; [None] for [Rel] or non-ground comparisons. *)
 
 val is_builtin : t -> bool
+
+val equal : t -> t -> bool
+(** Structural equality: terms compared with [Term.equal] (constants with
+    [Value.equal]), never through the printed form — [%g] prints [2.5] and
+    [2.5000004] alike. *)
+
 val rename : (string -> string) -> t -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -209,6 +209,67 @@ let test_base_root_query () =
   check_int "one spec for the base query" 1 (List.length advice.Adv.specs);
   check_bool "path present" true (advice.Adv.path <> None)
 
+(* --- structural literal identity --- *)
+
+(* q(X) :- m(X, 2.5), m(X, 2.5000004): two literals that print alike
+   under %g but are different goals. *)
+let float_twins_kb () =
+  let kb = L.Kb.create () in
+  L.Kb.declare_base kb "m" ~arity:2;
+  let f x = T.Const (V.Float x) in
+  L.Kb.add_rule kb
+    (L.Rule.make ~id:"r" (atom "q" [ v "X" ])
+       [ L.Literal.rel (atom "m" [ v "X"; f 2.5 ]); L.Literal.rel (atom "m" [ v "X"; f 2.5000004 ]) ]);
+  kb
+
+let test_base_goals_float_constants () =
+  let g = PG.extract (float_twins_kb ()) (atom "q" [ v "X" ]) in
+  check_int "two distinct base goals" 2 (List.length (PG.base_goals g))
+
+let test_rule_orderings_float_constants () =
+  let g = PG.extract (float_twins_kb ()) (atom "q" [ v "X" ]) in
+  (match g.PG.root.PG.branches with
+   | [ b ] -> b.PG.children <- List.rev b.PG.children
+   | _ -> Alcotest.fail "expected one branch");
+  check_bool "each child matched to its own body position" true
+    (List.assoc "r" (Shaper.rule_orderings g) = [ 1; 0 ])
+
+let test_run_spec_matches_literals_structurally () =
+  (* A run's parameters keep the run variables used outside the run. The
+     body literals outside are found by taking the run's literals out of
+     the body. b(X, true) with a Bool and b(X, true) with a variable named
+     [true] print alike; taking out the wrong one makes the run's own
+     variable [true] look used outside. (Float constants that print alike
+     carry the same variables, so at this site that collision cannot show.) *)
+  let kb = L.Kb.create () in
+  L.Kb.declare_base kb "b" ~arity:2;
+  let with_const = atom "b" [ v "X"; T.Const (V.Bool true) ] in
+  let with_var = atom "b" [ v "X"; v "true" ] in
+  let d = atom "d" [ v "X" ] in
+  let rule =
+    L.Rule.make ~id:"h1" (atom "h" [ v "X" ]) (List.map L.Literal.rel [ with_const; d; with_var ])
+  in
+  let node goal kind = { PG.goal; kind; recursive_ref = false; branches = [] } in
+  let root = node (atom "h" [ v "X" ]) PG.Derived in
+  root.PG.branches <-
+    [
+      {
+        PG.rule;
+        children =
+          [ PG.Subgoal (node with_const PG.Base); PG.Subgoal (node d PG.Derived);
+            PG.Subgoal (node with_var PG.Base) ];
+      };
+    ];
+  let advice = Gen.generate kb { PG.root; query = root.PG.goal } in
+  match
+    List.find_opt
+      (fun (sp : Adv.view_spec) -> List.exists (L.Atom.equal with_var) sp.Adv.def.A.atoms)
+      advice.Adv.specs
+  with
+  | Some sp ->
+    check_bool "parameters are the head variable only" true (sp.Adv.def.A.head = [ v "X" ])
+  | None -> Alcotest.fail "expected a spec for the variable run"
+
 (* --- datalog --- *)
 
 let family_base () =
@@ -344,6 +405,12 @@ let suites : unit Alcotest.test list =
           test_specs_shared_across_occurrences;
         Alcotest.test_case "recursive path loop" `Quick test_path_recursive_loop;
         Alcotest.test_case "base-root query" `Quick test_base_root_query;
+        Alcotest.test_case "base goals keep float constants apart" `Quick
+          test_base_goals_float_constants;
+        Alcotest.test_case "rule orderings keep float constants apart" `Quick
+          test_rule_orderings_float_constants;
+        Alcotest.test_case "run specs match literals structurally" `Quick
+          test_run_spec_matches_literals_structurally;
         Alcotest.test_case "datalog transitive closure" `Quick
           test_datalog_transitive_closure;
         Alcotest.test_case "datalog query constants" `Quick test_datalog_query_constants;
@@ -539,6 +606,64 @@ let test_conj_fetch_memo_float_constants () =
   check_bool "answer is (a, b)" true
     (norm_rel out.Datalog.result = [ [ V.Str "a"; V.Str "b" ] ])
 
+(* The fixpoint's counters do not depend on how a round joins or merges:
+   the rules, occurrences and rounds are fixed by the program, and a
+   conjunctive query's output bag by its atoms. These values were recorded
+   before the incremental semi-naive loop replaced the per-round rebuild;
+   the six E19 goals sum to E19's 99 rounds, 6 fetches, 2394 fetched
+   tuples and 651 magic tuples. *)
+let test_datalog_counters_pinned () =
+  let show (o : Datalog.outcome) =
+    Printf.sprintf "it=%d tp=%d f=%d ft=%d sizes=[%s] result=%d" o.Datalog.iterations
+      o.Datalog.tuples_produced o.Datalog.fetches o.Datalog.fetched_tuples
+      (String.concat "; "
+         (List.map (fun (p, n) -> Printf.sprintf "%s %d" p n) o.Datalog.derived_sizes))
+      (R.Relation.cardinality o.Datalog.result)
+  in
+  let local_fetch rels =
+    let base name = List.find_opt (fun r -> R.Relation.name r = name) rels in
+    let schema n = Option.map R.Relation.schema (base n) in
+    let fetch c =
+      Braid_caql.Eval.conj ~source:(fun a -> Option.get (base a.L.Atom.pred)) ~schema_of:schema c
+    in
+    (base, Datalog.Conj_fetch { fetch; schema })
+  in
+  let _, source = local_fetch (Braid_workload.Datagen.family ~persons:400 ~fanout:3 ()) in
+  let kb = Braid_workload.Kbgen.ancestor () in
+  let e19 =
+    List.map
+      (fun q ->
+        let m = Option.get (Magic.transform kb q) in
+        L.Atom.to_string q ^ " " ^ show (Datalog.run m.Magic.kb ~source m.Magic.query))
+      (Braid_workload.Queries.ancestor_batch ~persons:400 ~n:6 ~skew:0.5 ())
+  in
+  Alcotest.(check (list string))
+    "E19 goals"
+    [
+      {|ancestor("p23", Y) it=3 tp=3 f=1 ft=399 sizes=[ancestor$bf 1; m$ancestor$bf 2] result=1|};
+      {|ancestor("p0", Y) it=37 tp=4910 f=1 ft=399 sizes=[ancestor$bf 4510; m$ancestor$bf 400] result=399|};
+      {|ancestor("p109", Y) it=15 tp=143 f=1 ft=399 sizes=[ancestor$bf 114; m$ancestor$bf 29] result=28|};
+      {|ancestor("p49", Y) it=13 tp=81 f=1 ft=399 sizes=[ancestor$bf 62; m$ancestor$bf 19] result=18|};
+      {|ancestor("p31", Y) it=2 tp=1 f=1 ft=399 sizes=[ancestor$bf 0; m$ancestor$bf 1] result=0|};
+      {|ancestor("p11", Y) it=29 tp=1652 f=1 ft=399 sizes=[ancestor$bf 1452; m$ancestor$bf 200] result=199|};
+    ]
+    e19;
+  let base, source = local_fetch (Braid_workload.Datagen.family ~persons:40 ~fanout:3 ()) in
+  let kb = Braid_workload.Kbgen.same_generation () in
+  let q = atom "sg" [ s "p5"; v "Y" ] in
+  Alcotest.(check (list string))
+    "same generation"
+    [
+      "it=6 tp=340 f=0 ft=0 sizes=[sg 265] result=4";
+      "it=6 tp=1519 f=0 ft=0 sizes=[sg 265] result=4";
+      "it=6 tp=340 f=2 ft=118 sizes=[sg 265] result=4";
+    ]
+    [
+      show (Datalog.solve kb ~base q);
+      show (Datalog.solve kb ~algorithm:`Naive ~base q);
+      show (Datalog.run kb ~source q);
+    ]
+
 let test_set_oriented_matches_interpretive () =
   let q = atom "ancestor" [ s "p0"; v "Y" ] in
   let run strategy =
@@ -583,6 +708,8 @@ let extra_cases =
       test_missing_declared_base_fails_loudly;
     Alcotest.test_case "fetch memo keeps float constants apart" `Quick
       test_conj_fetch_memo_float_constants;
+    Alcotest.test_case "datalog counters pinned (E19, same generation)" `Quick
+      test_datalog_counters_pinned;
     Alcotest.test_case "set-oriented = interpretive answers" `Quick
       test_set_oriented_matches_interpretive;
     Alcotest.test_case "set-oriented free + base queries" `Quick

@@ -648,6 +648,123 @@ let prop_magic_sound =
         let magic = Datalog.solve m.Magic.kb ~base m.Magic.query in
         norm_rel magic.Datalog.result = restricted)
 
+(* Random recursive programs over two binary base relations and three
+   derived predicates. Every body mixes base and derived atoms at random,
+   so programs are often non-linear (two derived occurrences in one body);
+   arguments are variables or small constants, so repeated variables and
+   constants inside atoms (the non-indexed join path) are common; a rule
+   may carry a comparison between a body variable and a variable or a
+   constant. Head variables are drawn from body atoms, so every rule is
+   range-restricted. *)
+type random_program = {
+  rules : L.Rule.t list;
+  b1 : (int * int) list;
+  b2 : (int * int) list;
+  goal : L.Atom.t;
+}
+
+let random_derived = [ ("d1", 2); ("d2", 2); ("d3", 1) ]
+
+let gen_random_program : random_program QCheck.Gen.t =
+  let open QCheck.Gen in
+  let const = int_range 0 3 >|= T.int in
+  let term = frequency [ (4, oneofl [ "X"; "Y"; "Z"; "W" ] >|= T.var); (1, const) ] in
+  let body_atom =
+    oneofl ([ ("b1", 2); ("b2", 2) ] @ random_derived) >>= fun (p, n) ->
+    list_repeat n term >|= L.Atom.make p
+  in
+  let rule id =
+    oneofl random_derived >>= fun (head, n) ->
+    list_size (int_range 1 3) body_atom >>= fun atoms ->
+    let vars = List.sort_uniq String.compare (List.concat_map L.Atom.vars atoms) in
+    let pick = if vars = [] then const else oneofl vars >|= T.var in
+    list_repeat n pick >>= fun head_args ->
+    (if vars = [] then return []
+     else
+       frequency
+         [
+           (2, return []);
+           ( 1,
+             triple (oneofl [ RP.Eq; RP.Ne; RP.Lt; RP.Le; RP.Gt; RP.Ge ]) (oneofl vars)
+               (oneof [ oneofl vars >|= T.var; const ])
+             >|= fun (op, x, rhs) -> [ L.Literal.cmp op (T.var x) rhs ] );
+         ])
+    >|= fun cmps ->
+    L.Rule.make ~id (L.Atom.make head head_args) (List.map L.Literal.rel atoms @ cmps)
+  in
+  let rel p x y = L.Literal.rel (L.Atom.make p [ T.var x; T.var y ]) in
+  let d1_xy = L.Atom.make "d1" [ T.var "X"; T.var "Y" ] in
+  (* d1 is always seeded from b1, and in about half the programs closed
+     non-linearly *)
+  let seed = L.Rule.make ~id:"seed" d1_xy [ rel "b1" "X" "Y" ] in
+  let square = L.Rule.make ~id:"square" d1_xy [ rel "d1" "X" "Z"; rel "d1" "Z" "Y" ] in
+  (* d2 composes d1 with itself: a body of two derived occurrences whose
+     answer is wrong unless the index kept on d1's total follows its growth
+     over several rounds *)
+  let compose =
+    L.Rule.make ~id:"compose"
+      (L.Atom.make "d2" [ T.var "X"; T.var "Y" ])
+      [ rel "d1" "X" "Z"; rel "d1" "Z" "Y" ]
+  in
+  (* a domain wider than the constants' gives chains long enough for
+     several rounds *)
+  let tuples = list_size (int_range 0 14) (pair (int_range 0 5) (int_range 0 5)) in
+  let goal =
+    oneofl random_derived >>= fun (p, n) ->
+    list_repeat n (frequency [ (3, oneofl [ "Q"; "R" ] >|= T.var); (1, const) ])
+    >|= L.Atom.make p
+  in
+  int_range 1 5 >>= fun n ->
+  flatten_l (List.init n (fun i -> rule (Printf.sprintf "r%d" i))) >>= fun random_rules ->
+  pair bool bool >>= fun (squared, composed) ->
+  triple tuples tuples goal >|= fun (b1, b2, goal) ->
+  let optional on r = if on then [ r ] else [] in
+  let rules = (seed :: optional squared square) @ optional composed compose @ random_rules in
+  { rules; b1; b2; goal }
+
+let print_random_program p =
+  let pairs l = String.concat "," (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) l) in
+  Printf.sprintf "%s\nb1=%s b2=%s\n?- %s"
+    (String.concat "\n" (List.map L.Rule.to_string p.rules))
+    (pairs p.b1) (pairs p.b2) (L.Atom.to_string p.goal)
+
+let prop_semi_naive_equals_naive_random =
+  QCheck.Test.make ~count:300 ~name:"semi-naive = naive on random recursive programs"
+    (arb_of gen_random_program print_random_program)
+    (fun p ->
+      let kb = L.Kb.create () in
+      L.Kb.declare_base kb "b1" ~arity:2;
+      L.Kb.declare_base kb "b2" ~arity:2;
+      List.iter (L.Kb.add_rule kb) p.rules;
+      let rel name tuples =
+        R.Relation.of_tuples ~name
+          (R.Schema.make [ ("x", V.Tint); ("y", V.Tint) ])
+          (List.map (fun (a, b) -> [| V.Int a; V.Int b |]) tuples)
+      in
+      let b1 = rel "b1" p.b1 and b2 = rel "b2" p.b2 in
+      let base = function "b1" -> Some b1 | "b2" -> Some b2 | _ -> None in
+      let schema n = Option.map R.Relation.schema (base n) in
+      let fetch c =
+        Braid_caql.Eval.conj ~source:(fun a -> Option.get (base a.L.Atom.pred)) ~schema_of:schema c
+      in
+      (* the drawn goal, plus each derived predicate in full *)
+      let goals =
+        p.goal
+        :: List.map
+             (fun (d, n) ->
+               L.Atom.make d (List.filteri (fun i _ -> i < n) [ T.var "Q"; T.var "R" ]))
+             random_derived
+      in
+      List.for_all
+        (fun (source, goal) ->
+          let naive = Datalog.run kb ~algorithm:`Naive ~source goal in
+          let semi = Datalog.run kb ~algorithm:`Semi_naive ~source goal in
+          norm_rel naive.Datalog.result = norm_rel semi.Datalog.result
+          && naive.Datalog.derived_sizes = semi.Datalog.derived_sizes)
+        (List.concat_map
+           (fun source -> List.map (fun goal -> (source, goal)) goals)
+           [ Datalog.Extensions base; Datalog.Conj_fetch { fetch; schema } ]))
+
 (* --- exact-match index --- *)
 
 module CMgr = Braid_cache.Cache_manager
@@ -798,6 +915,7 @@ let suites : unit Alcotest.test list =
           prop_enumerated_plan_equals_naive;
           prop_datalog_algorithms_agree;
           prop_magic_sound;
+          prop_semi_naive_equals_naive_random;
           prop_exact_index_matches_scan;
         ] );
   ]
